@@ -15,6 +15,13 @@
 //! against the hierarchical walk (four coarsening levels) and the
 //! region-sharded threaded kernel on the same leaf grid, with the same
 //! in-harness `ε = 0` bit-for-bit assertion at every configuration.
+//!
+//! A protocol-density section runs `m = 16384` under the `sinr-megacity`
+//! preset's tile options (grid 128, four levels, adaptive 64 MiB panels,
+//! megacity spacing) at the attempt rate the frame protocol actually
+//! offers there — about 211 attempts per slot, a handful of active links
+//! per near tile pair — cycling through fresh random attempt sets so the
+//! adaptive panel cache sees protocol-like turnover.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dps_core::feasibility::{Attempt, Feasibility};
@@ -26,6 +33,7 @@ use dps_sinr::network::SinrNetwork;
 use dps_sinr::params::SinrParams;
 use dps_sinr::power::LinearPower;
 use dps_sinr::tiles::{PanelCacheMode, TileOptions, TiledSinrFeasibility};
+use rand::Rng;
 use std::time::{Duration, Instant};
 
 const SIZES: [usize; 3] = [1024, 4096, 16384];
@@ -331,11 +339,14 @@ fn bench_tiled_slot(c: &mut Criterion) {
         )
     };
 
+    let protocol_json = protocol_density(budget);
+
     let json = format!(
         "{{\n  \"bench\": \"bench_tiles\",\n  \"metric\": \"exact on-the-fly fallback vs \
-         tiled oracle, k = m/4 attempts per slot\",\n  \"cells\": [\n{}\n  ],\n{}\n}}\n",
+         tiled oracle, k = m/4 attempts per slot\",\n  \"cells\": [\n{}\n  ],\n{},\n{}\n}}\n",
         cells.join(",\n"),
-        hier_json
+        hier_json,
+        protocol_json
     );
     let path = std::env::var("BENCH_TILES_OUT").unwrap_or_else(|_| {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tiles.json").to_string()
@@ -344,6 +355,118 @@ fn bench_tiled_slot(c: &mut Criterion) {
         Ok(()) => println!("tiles_slot_throughput: baseline written to {path}"),
         Err(e) => eprintln!("tiles_slot_throughput: could not write {path}: {e}"),
     }
+}
+
+/// The protocol-density row: `m = 16384` at megacity spacing under the
+/// `sinr-megacity` tile options, `PROTOCOL_K` attempts per slot drawn
+/// fresh (from a rotation of `PROTOCOL_SETS` random link subsets), the
+/// exact on-the-fly oracle against the tiled one. Returns the row's JSON.
+fn protocol_density(budget: Duration) -> String {
+    const M: usize = 16384;
+    const PROTOCOL_K: usize = 211;
+    const PROTOCOL_SETS: usize = 16;
+    let side = 80.0 * (M as f64).sqrt();
+    let net = {
+        let mut rng = split_stream(9, (M + 2) as u64);
+        random_instance(M, side, 1.0, 3.0, SinrParams::default_noiseless(), &mut rng)
+    };
+    let alpha = net.params().alpha;
+    let options = |eps: f64| {
+        TileOptions::new(128, eps)
+            .with_levels(4)
+            .with_panel_budget(64 << 20)
+            .with_panel_mode(PanelCacheMode::Adaptive)
+    };
+    let sets: Vec<Vec<Attempt>> = (0..PROTOCOL_SETS)
+        .map(|set| {
+            let mut rng = split_stream(11, set as u64);
+            let mut links: Vec<u32> = Vec::with_capacity(PROTOCOL_K);
+            while links.len() < PROTOCOL_K {
+                let link = rng.gen_range(0..M as u32);
+                if !links.contains(&link) {
+                    links.push(link);
+                }
+            }
+            links
+                .into_iter()
+                .map(|l| Attempt {
+                    link: LinkId(l),
+                    packet: PacketId(l as u64),
+                })
+                .collect()
+        })
+        .collect();
+
+    let exact = SinrFeasibility::new(net.clone(), LinearPower::new(alpha));
+    // Sanity inside the harness: ε = 0 under the same options is
+    // bit-for-bit exact on every attempt set.
+    {
+        let tiled0 =
+            TiledSinrFeasibility::with_options(net.clone(), LinearPower::new(alpha), options(0.0));
+        let rng = split_stream(10, M as u64);
+        for attempts in &sets {
+            assert_eq!(
+                exact.successes(attempts, &mut rng.clone()),
+                tiled0.successes(attempts, &mut rng.clone()),
+                "protocol density: ε = 0 must match the exact oracle"
+            );
+        }
+    }
+    let tiled = TiledSinrFeasibility::with_options(net, LinearPower::new(alpha), options(1e-3));
+    let mut out = Vec::new();
+    let mut rng = split_stream(10, M as u64);
+    let mut next = 0usize;
+    let exact_t = measure_slot(
+        || {
+            exact.successes_into(&sets[next % PROTOCOL_SETS], &mut out, &mut rng);
+            next += 1;
+        },
+        budget,
+    );
+    let mut next = 0usize;
+    let tiled_t = measure_slot(
+        || {
+            tiled.successes_into(&sets[next % PROTOCOL_SETS], &mut out, &mut rng);
+            next += 1;
+        },
+        budget,
+    );
+    let diag = tiled.tiles().diagnostics();
+    let slots = diag.slots.max(1) as f64;
+    let on_the_fly = tiled.tiles().near_on_the_fly();
+    let per_sec = |d: Duration| 1.0 / d.as_secs_f64();
+    let speedup = exact_t.as_secs_f64() / tiled_t.as_secs_f64();
+    let on_the_fly_share = on_the_fly as f64 / diag.near_terms.max(1) as f64;
+    println!(
+        "tiles_slot_throughput/protocol m={M} (grid 128, L=4, adaptive 64 MiB, k={PROTOCOL_K}): \
+         exact {:.3e} slots/s, tiled ε=1e-3 {:.3e} slots/s ({speedup:.2}x), \
+         near terms {:.1}/slot ({:.1}% on the fly), panel lookups {:.1}/slot",
+        per_sec(exact_t),
+        per_sec(tiled_t),
+        diag.near_terms as f64 / slots,
+        100.0 * on_the_fly_share,
+        (diag.panel_hits + diag.panel_misses) as f64 / slots,
+    );
+    format!(
+        "  \"protocol_density\": {{\n    \"m\": {M},\n    \"side\": {side:.0},\n    \
+         \"grid\": 128,\n    \"levels\": 4,\n    \"panel_cache\": \"adaptive\",\n    \
+         \"panel_budget_bytes\": {},\n    \"attempts_per_slot\": {PROTOCOL_K},\n    \
+         \"exact_slots_per_sec\": {:.1},\n    \
+         \"tiled_eps1e3_slots_per_sec\": {:.1},\n    \
+         \"tiled_eps1e3_speedup\": {:.2},\n    \
+         \"near_terms_per_slot\": {:.1},\n    \
+         \"near_on_the_fly_share\": {:.3},\n    \
+         \"panel_lookups_per_slot\": {:.1},\n    \
+         \"panel_high_water_bytes\": {}\n  }}",
+        64 << 20,
+        per_sec(exact_t),
+        per_sec(tiled_t),
+        speedup,
+        diag.near_terms as f64 / slots,
+        on_the_fly_share,
+        (diag.panel_hits + diag.panel_misses) as f64 / slots,
+        diag.panel_high_water_bytes,
+    )
 }
 
 criterion_group!(benches, bench_tiled_slot);

@@ -97,7 +97,7 @@ fn run(rest: &[String]) {
         if let Some(tiles) = shared.as_ref().and_then(|s| s.sinr_tiles.as_ref()) {
             fields.push((
                 "tile_diagnostics".to_string(),
-                tile_diagnostics_value(&tiles.diagnostics()),
+                tile_diagnostics_value(tiles),
             ));
         }
         println!(
@@ -195,7 +195,8 @@ fn check(rest: &[String]) {
 
 /// The tiled substrate's far-walk and panel-cache counters as a JSON
 /// map, spliced next to the outcome table under `tile_diagnostics`.
-fn tile_diagnostics_value(diag: &dps_sinr::tiles::TileDiagnostics) -> serde::Value {
+fn tile_diagnostics_value(tiles: &dps_sinr::tiles::TiledSinrCache) -> serde::Value {
+    let diag = tiles.diagnostics();
     let seq_u64 =
         |values: &[u64]| serde::Value::Seq(values.iter().map(|&v| serde::Value::U64(v)).collect());
     serde::Value::Map(vec![
@@ -218,6 +219,10 @@ fn tile_diagnostics_value(diag: &dps_sinr::tiles::TileDiagnostics) -> serde::Val
             seq_u64(&diag.far_terms_per_level),
         ),
         ("near_terms".to_string(), serde::Value::U64(diag.near_terms)),
+        (
+            "near_on_the_fly".to_string(),
+            serde::Value::U64(tiles.near_on_the_fly()),
+        ),
         ("panel_hits".to_string(), serde::Value::U64(diag.panel_hits)),
         (
             "panel_misses".to_string(),

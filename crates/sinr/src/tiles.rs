@@ -43,7 +43,11 @@
 //!   [`PanelCacheMode::Adaptive`] they live in a touch-count LRU cache
 //!   that refills from the exact gain expression on miss and evicts the
 //!   stalest pairs when the budget overflows, so the resident set
-//!   tracks the *active* tiles of a long run. Panel entries are
+//!   tracks the *active* tiles of a long run. Either way the slot
+//!   kernel consults the store only for near terms with enough work
+//!   (active senders × active receivers of the tile pair at or above a
+//!   small fixed gate); sparser terms compute their gains on the fly
+//!   and never touch it. Panel entries are
 //!   produced by the *same* floating-point expression as the flat dense
 //!   table and the naive oracle ([`crate::cache`]'s `raw_gain`), so
 //!   panel hits, misses, refills and evictions are all bit-for-bit

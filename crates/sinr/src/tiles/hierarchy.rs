@@ -96,6 +96,52 @@ impl TileLevel {
     }
 }
 
+/// Collects into `out`, ascending, the occupied receiver leaf tiles the
+/// slot walk charges as near for sender leaf tile `s` (of a leaf grid
+/// with `g0` tiles per side): those with no far-qualified ancestor pair
+/// at any level, leaf included. Descends the receiver hierarchy from the
+/// coarsest level and prunes at far pairs — the walk's own predicate —
+/// so the cost follows the near field rather than the receiver grid.
+/// `stack` is a reusable work buffer.
+pub(super) fn walk_near_receivers(
+    levels: &[TileLevel],
+    s: u32,
+    g0: usize,
+    out: &mut Vec<u32>,
+    stack: &mut Vec<(usize, u32)>,
+) {
+    out.clear();
+    stack.clear();
+    let top = levels.len() - 1;
+    stack.extend(
+        (0..levels[top].num_tiles() as u32)
+            .filter(|&r| levels[top].receiver_count[r as usize] > 0)
+            .map(|r| (top, r)),
+    );
+    while let Some((l, r)) = stack.pop() {
+        let level = &levels[l];
+        if level.is_far(level.tile_of_leaf(s, g0), r) {
+            continue;
+        }
+        if l == 0 {
+            out.push(r);
+            continue;
+        }
+        let below = &levels[l - 1];
+        let side = level.tiles_per_side as u32;
+        let (row, col) = (r / side, r % side);
+        for child_row in 2 * row..(2 * row + 2).min(below.tiles_per_side as u32) {
+            for child_col in 2 * col..(2 * col + 2).min(below.tiles_per_side as u32) {
+                let child = child_row * below.tiles_per_side as u32 + child_col;
+                if below.receiver_count[child as usize] > 0 {
+                    stack.push((l - 1, child));
+                }
+            }
+        }
+    }
+    out.sort_unstable();
+}
+
 /// Builds the hierarchy: level 0 (the leaf) through at most `requested`
 /// levels, stopping early once a level reaches one tile per side
 /// (coarser levels would only duplicate it).

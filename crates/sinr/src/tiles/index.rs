@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::grid::TileGrid;
-use super::hierarchy::{build_levels, TileLevel};
+use super::hierarchy::{build_levels, walk_near_receivers, TileLevel};
 use super::panels::{PanelRef, PanelStore};
 use super::{PanelCacheMode, TileOptions, MAX_TILE_LEVELS};
 use crate::cache::{raw_gain, SinrCache};
@@ -25,6 +25,9 @@ pub(super) struct WalkCounters {
     pub(super) far_terms: Vec<AtomicU64>,
     /// Near (exact) groups emitted into walk plans.
     pub(super) near_terms: AtomicU64,
+    /// Near groups below the panel work gate: gains computed on the
+    /// fly without touching the panel store.
+    pub(super) near_on_the_fly: AtomicU64,
 }
 
 /// A point-in-time snapshot of the tiled kernel's far-walk and panel
@@ -204,29 +207,34 @@ impl TiledSinrCache {
         );
         let far_pairs = levels.iter().map(|l| l.far_pairs).sum();
 
-        // Panel store. Fixed mode fills panels for near leaf pairs in
-        // row-major (S, R) order over the *occupied* tile lists,
-        // stopping at the first panel that no longer fits the budget
-        // (so build work is bounded by the budget, not by g⁴). Adaptive
-        // mode starts empty and fills on demand.
+        // Panel store. Fixed mode fills panels for the leaf pairs the
+        // slot walk charges as near (no far-qualified ancestor at any
+        // level — leaf grids above the far-table cap have no leaf table)
+        // in row-major (S, R) order over the occupied sender tiles and
+        // each one's near receiver tiles, stopping at the first panel
+        // that no longer fits the budget (so build work follows the near
+        // field and the budget, not g⁴). Adaptive mode starts empty and
+        // fills on demand.
         let panels = match panel_mode {
             PanelCacheMode::Adaptive => PanelStore::adaptive(panel_budget_bytes),
             PanelCacheMode::Fixed => {
                 let budget_cells = panel_budget_bytes / std::mem::size_of::<f64>();
-                let occupied = |start: &[u32]| -> Vec<usize> {
-                    (0..t).filter(|&i| start[i] != start[i + 1]).collect()
-                };
-                let occ_s = occupied(&senders_start);
-                let occ_r = occupied(&receivers_start);
                 let mut offsets = BTreeMap::new();
                 let mut arena = Vec::new();
-                'alloc: for &s in &occ_s {
+                let mut near_r = Vec::new();
+                let mut stack = Vec::new();
+                'alloc: for s in (0..t).filter(|&s| senders_start[s] != senders_start[s + 1]) {
                     let s_links =
                         &senders_links[senders_start[s] as usize..senders_start[s + 1] as usize];
-                    for &r in &occ_r {
-                        if levels[0].is_far(s as u32, r as u32) {
-                            continue;
-                        }
+                    walk_near_receivers(
+                        &levels,
+                        s as u32,
+                        grid.tiles_per_side(),
+                        &mut near_r,
+                        &mut stack,
+                    );
+                    for &r in &near_r {
+                        let r = r as usize;
                         let r_links = &receivers_links
                             [receivers_start[r] as usize..receivers_start[r + 1] as usize];
                         let cells = s_links.len() * r_links.len();
@@ -257,6 +265,7 @@ impl TiledSinrCache {
             visited: (0..levels.len()).map(|_| AtomicU64::new(0)).collect(),
             far_terms: (0..levels.len()).map(|_| AtomicU64::new(0)).collect(),
             near_terms: AtomicU64::new(0),
+            near_on_the_fly: AtomicU64::new(0),
         };
 
         TiledSinrCache {
@@ -388,6 +397,17 @@ impl TiledSinrCache {
         self.panels.resident_bytes()
     }
 
+    /// Near terms the slot kernel served below its panel work gate:
+    /// gains computed on the fly without touching the panel store, so
+    /// they count neither as panel hits nor as panel misses (a miss
+    /// keeps meaning "wanted a panel, none resident"). Kept beside
+    /// [`TiledSinrCache::diagnostics`] rather than in
+    /// [`TileDiagnostics`], whose fields downstream code constructs
+    /// literally.
+    pub fn near_on_the_fly(&self) -> u64 {
+        self.walk.near_on_the_fly.load(Ordering::Relaxed)
+    }
+
     /// A snapshot of the far-walk and panel-cache diagnostics.
     pub fn diagnostics(&self) -> TileDiagnostics {
         let counters = self.panels.counters();
@@ -418,7 +438,8 @@ impl TiledSinrCache {
     /// Approximate heap footprint of the tiled index in bytes: tile
     /// assignments, member lists, every level's summary statistics and
     /// far table, and the panel store at its *high-water* byte mark
-    /// (plus per-panel bookkeeping overhead) — so the substrate LRU
+    /// (plus each resident panel's bookkeeping: map and queue nodes,
+    /// shared header, allocator overhead) — so the substrate LRU
     /// budget sees what the index has actually grown to, not just what
     /// is resident this instant. The underlying [`SinrCache`] is
     /// accounted separately via [`SinrCache::approx_bytes`].

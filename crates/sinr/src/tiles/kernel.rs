@@ -21,6 +21,15 @@ use rand::RngCore;
 
 use super::MAX_KERNEL_THREADS;
 
+/// Smallest near-term work (active senders in the leaf group × active
+/// receivers in the receiver leaf tile) for which a near term resolves
+/// its panel. A lookup costs far more than the one `powf` per gain it
+/// saves (lock, map and queue traffic, an `Arc` clone), so sparser
+/// terms take the on-the-fly path and never touch the panel store.
+/// Panel cells and on-the-fly gains are the same expression, so the
+/// gate moves speed and memory only, never a verdict.
+const PANEL_MIN_WORK: usize = 8;
+
 /// The active set bucketed by sender leaf tile, rebuilt per slot:
 /// `entries` holds `(tile, link, count)` sorted by `(tile, link)`;
 /// `touched[i]` is the `i`-th occupied leaf tile (ascending) whose
@@ -48,13 +57,15 @@ pub(super) struct SlotCoarse {
 }
 
 /// One slot's walk plans, flattened: `keys` holds the distinct receiver
-/// leaf tiles (ascending), plan `i`'s terms span
+/// leaf tiles (ascending), `receivers[i]` the number of active links
+/// whose receiver lies in tile `keys[i]`, and plan `i`'s terms span
 /// `terms[term_start[i]..term_start[i+1]]`. Every receiver in the same
 /// leaf tile shares one plan — the far walk runs once per occupied
 /// receiver tile, not once per receiver.
 #[derive(Default)]
 pub(super) struct SlotPlans {
     keys: Vec<u32>,
+    receivers: Vec<u32>,
     term_start: Vec<u32>,
     terms: Vec<PlanTerm>,
 }
@@ -62,9 +73,18 @@ pub(super) struct SlotPlans {
 impl SlotPlans {
     fn clear(&mut self) {
         self.keys.clear();
+        self.receivers.clear();
         self.term_start.clear();
         self.terms.clear();
     }
+}
+
+/// One slot's walk activity, tallied on the plan-building thread and
+/// published to the index's diagnostics counters once per slot.
+#[derive(Default)]
+struct WalkTally {
+    visited: Vec<u64>,
+    far_terms: Vec<u64>,
 }
 
 /// One term of a walk plan, in DFS (ascending tile) emission order.
@@ -73,7 +93,7 @@ enum PlanTerm {
     /// hierarchy `level` from that tile's centre.
     Far { level: u8, idx: u32 },
     /// Accumulate leaf group `group` exactly, through `panel` when one
-    /// is resident.
+    /// is resident (always [`PanelRef::None`] below [`PANEL_MIN_WORK`]).
     Near { group: u32, panel: PanelRef },
 }
 
@@ -89,6 +109,7 @@ struct TiledSlotScratch {
     pairs: Vec<(u32, u32)>,
     plans: SlotPlans,
     stack: Vec<(u8, u32)>,
+    tally: WalkTally,
     shard_keys: Vec<u32>,
     interference: Vec<f64>,
     lanes: Vec<f64>,
@@ -106,6 +127,7 @@ thread_local! {
         pairs: Vec::new(),
         plans: SlotPlans::default(),
         stack: Vec::new(),
+        tally: WalkTally::default(),
         shard_keys: Vec::new(),
         interference: Vec::new(),
         lanes: Vec::new(),
@@ -271,10 +293,13 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         let mut pairs = Vec::new();
         let mut plans = SlotPlans::default();
         let mut stack = Vec::new();
+        let mut tally = WalkTally::default();
         self.group_active_by_tile(&active, &mut groups);
         if !groups.touched.is_empty() {
             self.build_coarse(&groups, &mut coarse, &mut pairs);
-            self.build_plans(&active, &groups, &coarse, &mut plans, &mut stack);
+            self.build_plans(
+                &active, &groups, &coarse, &mut plans, &mut stack, &mut tally,
+            );
         }
         active
             .iter()
@@ -380,11 +405,12 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
     /// Builds one walk plan per distinct receiver leaf tile of the
     /// active set: a DFS from the coarsest level that charges each far
     /// subtree at the coarsest qualifying level and descends otherwise,
-    /// emitting terms in ascending-tile DFS order. Near terms resolve
-    /// their panel here — on the calling thread, before any fan-out —
-    /// so the adaptive panel cache's evict/refill order is
-    /// deterministic and the parallel verdict loop reads panels
-    /// lock-free.
+    /// emitting terms in ascending-tile DFS order. A near term whose work
+    /// reaches [`PANEL_MIN_WORK`] resolves its panel here — on the
+    /// calling thread, before any fan-out — so the adaptive panel
+    /// cache's evict/refill order is deterministic and the parallel
+    /// verdict loop reads panels lock-free; sparser near terms skip the
+    /// store and compute their gains on the fly.
     fn build_plans(
         &self,
         active: &[(u32, u32)],
@@ -392,6 +418,7 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         coarse: &[SlotCoarse],
         plans: &mut SlotPlans,
         stack: &mut Vec<(u8, u32)>,
+        tally: &mut WalkTally,
     ) {
         let tiles = &*self.tiles;
         let levels = &tiles.levels;
@@ -404,14 +431,31 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
                 .map(|&(on, _)| tiles.receiver_tile[on as usize]),
         );
         plans.keys.sort_unstable();
-        plans.keys.dedup();
+        // Run-length encode the sorted receiver tiles into distinct keys
+        // and their active receiver counts.
+        let mut distinct = 0;
+        for at in 0..plans.keys.len() {
+            let tile = plans.keys[at];
+            if distinct > 0 && plans.keys[distinct - 1] == tile {
+                plans.receivers[distinct - 1] += 1;
+            } else {
+                plans.keys[distinct] = tile;
+                plans.receivers.push(1);
+                distinct += 1;
+            }
+        }
+        plans.keys.truncate(distinct);
 
-        let mut visited = vec![0u64; levels.len()];
-        let mut far_terms = vec![0u64; levels.len()];
+        tally.visited.clear();
+        tally.visited.resize(levels.len(), 0);
+        tally.far_terms.clear();
+        tally.far_terms.resize(levels.len(), 0);
         let mut near_terms = 0u64;
+        let mut near_on_the_fly = 0u64;
         let top = levels.len() - 1;
         for key_at in 0..plans.keys.len() {
             let r_leaf = plans.keys[key_at];
+            let receivers = plans.receivers[key_at] as usize;
             plans.term_start.push(plans.terms.len() as u32);
             stack.clear();
             if top == 0 {
@@ -425,15 +469,22 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
             }
             while let Some((l, j)) = stack.pop() {
                 let l_us = l as usize;
-                visited[l_us] += 1;
+                tally.visited[l_us] += 1;
                 if l == 0 {
                     let s = groups.touched[j as usize];
                     if levels[0].is_far(s, r_leaf) {
-                        far_terms[0] += 1;
+                        tally.far_terms[0] += 1;
                         plans.terms.push(PlanTerm::Far { level: 0, idx: j });
                     } else {
                         near_terms += 1;
-                        let panel = tiles.resolve_panel(s, r_leaf);
+                        let senders =
+                            (groups.start[j as usize + 1] - groups.start[j as usize]) as usize;
+                        let panel = if senders * receivers >= PANEL_MIN_WORK {
+                            tiles.resolve_panel(s, r_leaf)
+                        } else {
+                            near_on_the_fly += 1;
+                            PanelRef::None
+                        };
                         plans.terms.push(PlanTerm::Near { group: j, panel });
                     }
                 } else {
@@ -441,7 +492,7 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
                     let s = occ.tiles[j as usize];
                     let r = levels[l_us].tile_of_leaf(r_leaf, g0);
                     if levels[l_us].is_far(s, r) {
-                        far_terms[l_us] += 1;
+                        tally.far_terms[l_us] += 1;
                         plans.terms.push(PlanTerm::Far { level: l, idx: j });
                     } else {
                         let span = occ.child_start[j as usize] as usize
@@ -455,16 +506,20 @@ impl<P: PowerAssignment> TiledSinrFeasibility<P> {
         }
         plans.term_start.push(plans.terms.len() as u32);
 
-        for (counter, n) in tiles.walk.visited.iter().zip(&visited) {
+        for (counter, n) in tiles.walk.visited.iter().zip(&tally.visited) {
             counter.fetch_add(*n, Ordering::Relaxed);
         }
-        for (counter, n) in tiles.walk.far_terms.iter().zip(&far_terms) {
+        for (counter, n) in tiles.walk.far_terms.iter().zip(&tally.far_terms) {
             counter.fetch_add(*n, Ordering::Relaxed);
         }
         tiles
             .walk
             .near_terms
             .fetch_add(near_terms, Ordering::Relaxed);
+        tiles
+            .walk
+            .near_on_the_fly
+            .fetch_add(near_on_the_fly, Ordering::Relaxed);
     }
 }
 
@@ -640,6 +695,7 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
                 pairs,
                 plans,
                 stack,
+                tally,
                 shard_keys,
                 interference,
                 lanes,
@@ -666,7 +722,7 @@ impl<P: PowerAssignment> Feasibility for TiledSinrFeasibility<P> {
                     plans.clear();
                 } else {
                     self.build_coarse(groups, coarse, pairs);
-                    self.build_plans(active, groups, coarse, plans, stack);
+                    self.build_plans(active, groups, coarse, plans, stack, tally);
                 }
                 let tiles: &TiledSinrCache = &self.tiles;
                 let judge = |on_raw: u32, count: u32| -> bool {

@@ -19,9 +19,25 @@
 //!   clones, so an eviction mid-slot can never invalidate a panel in
 //!   use.
 //!
+//! The slot kernel asks the store for a panel only when a near term is
+//! dense enough to pay for the lookup: its work — active senders in the
+//! leaf group times active receivers in the receiver leaf tile — must
+//! reach a fixed gate. Sparser terms (the common case under protocol
+//! traffic, about one active sender per near tile pair) compute their
+//! few gains on the fly and never touch the store: no lock, no map or
+//! queue traffic, no fill, no `Arc`. Hits, misses and evictions
+//! therefore count only terms that wanted a panel; the gated ones are
+//! reported separately as `near_on_the_fly`.
+//!
 //! Every panel entry is produced by the same floating-point expression
 //! as the on-the-fly path, so residency is a speed layer only: hits,
-//! misses, refills and evictions are bit-for-bit interchangeable.
+//! misses, refills, evictions and gated terms are bit-for-bit
+//! interchangeable.
+//!
+//! The byte accounting charges each resident panel its actual
+//! bookkeeping layout on top of its cells — map and queue entries, the
+//! shared `Arc<Vec>` block, allocator overhead — so a store of many
+//! tiny panels is not reported as just its gains.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,9 +55,33 @@ pub enum PanelCacheMode {
     Adaptive,
 }
 
-/// Approximate per-resident-panel bookkeeping overhead (map node, key,
-/// `Arc` header) charged by the byte accounting.
-const PANEL_ENTRY_OVERHEAD: usize = 64;
+/// Bytes a general-purpose allocator adds to every heap block: a
+/// chunk header plus rounding to its 16-byte granularity, on average.
+const ALLOC_OVERHEAD: usize = 16;
+
+/// B-tree nodes hold up to eleven entries but settle about half full
+/// under the store's insertion patterns (the eviction queue only ever
+/// appends at the newest clock, and an appending insert splits a full
+/// node in the middle), so each entry pays for about two slots.
+const BTREE_SLOTS_PER_ENTRY: usize = 2;
+
+/// Bookkeeping bytes one resident panel of a fixed store costs beyond
+/// its arena cells: its `offsets` map entry.
+fn fixed_entry_overhead() -> usize {
+    BTREE_SLOTS_PER_ENTRY * std::mem::size_of::<((u32, u32), usize)>()
+}
+
+/// Bookkeeping bytes one resident panel of an adaptive store costs
+/// beyond its cells: its `resident` map entry, its eviction-queue
+/// entry, the `Arc<Vec<f64>>` block (two reference counts and the `Vec`
+/// header) and the allocator overhead of that block and of the cell
+/// buffer.
+fn adaptive_entry_overhead() -> usize {
+    let map = BTREE_SLOTS_PER_ENTRY * std::mem::size_of::<((u32, u32), PanelSlot)>();
+    let queue = BTREE_SLOTS_PER_ENTRY * std::mem::size_of::<(u64, (u32, u32))>();
+    let arc = 2 * std::mem::size_of::<usize>() + std::mem::size_of::<Vec<f64>>();
+    map + queue + arc + 2 * ALLOC_OVERHEAD
+}
 
 /// A slot-duration handle to one tile pair's panel.
 #[derive(Clone, Debug)]
@@ -157,9 +197,14 @@ impl PanelStore {
 
     /// Heap bytes the store pins, charged at the *high-water* mark (not
     /// the current resident set) so LRU budget accounting upstream
-    /// stays honest about what the store has grown to.
+    /// stays honest about what the store has grown to, plus every
+    /// resident panel's bookkeeping at its actual per-entry layout.
     pub(super) fn approx_bytes(&self) -> usize {
-        self.high_water_bytes() + self.resident_count() * PANEL_ENTRY_OVERHEAD
+        let per_entry = match self {
+            PanelStore::Fixed { .. } => fixed_entry_overhead(),
+            PanelStore::Adaptive { .. } => adaptive_entry_overhead(),
+        };
+        self.high_water_bytes() + self.resident_count() * per_entry
     }
 
     /// Advances the adaptive slot clock (no-op for fixed stores). Call
@@ -277,5 +322,49 @@ impl PanelStore {
                 .get(&key)
                 .map(|slot| slot.data[index]),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::mem::size_of;
+
+    /// Bytes every resident adaptive panel owns besides its cells, by
+    /// layout alone: its map key and slot, its queue key, and the `Arc`
+    /// block (two reference counts and the `Vec` header). B-tree slack
+    /// and allocator headers only add to this.
+    fn adaptive_layout_floor() -> usize {
+        size_of::<(u32, u32)>()
+            + size_of::<PanelSlot>()
+            + size_of::<(u64, (u32, u32))>()
+            + 2 * size_of::<usize>()
+            + size_of::<Vec<f64>>()
+    }
+
+    #[test]
+    fn byte_accounting_charges_at_least_the_entry_layout() {
+        let cells = 3;
+        let panels = 10u32;
+        let adaptive = PanelStore::adaptive(1 << 20);
+        for i in 0..panels {
+            adaptive.tick();
+            let panel = adaptive.resolve((i, i), cells, |data| data.extend([1.0; 3]));
+            assert!(matches!(panel, PanelRef::Owned(_)));
+        }
+        assert_eq!(adaptive.resident_count(), panels as usize);
+        let data = panels as usize * cells * size_of::<f64>();
+        assert!(adaptive_entry_overhead() >= adaptive_layout_floor());
+        assert!(
+            adaptive.approx_bytes() >= data + panels as usize * adaptive_layout_floor(),
+            "{} bytes charged for {panels} panels of {cells} cells",
+            adaptive.approx_bytes()
+        );
+
+        let offsets: BTreeMap<(u32, u32), usize> =
+            (0..panels).map(|i| ((i, i), i as usize * cells)).collect();
+        let fixed = PanelStore::fixed(offsets, vec![0.0; panels as usize * cells]);
+        let fixed_floor = size_of::<(u32, u32)>() + size_of::<usize>();
+        assert!(fixed.approx_bytes() >= data + panels as usize * fixed_floor);
     }
 }

@@ -501,3 +501,142 @@ fn diagnostics_count_slots_and_walk_activity() {
     assert!(diag.near_terms > 0, "own-cluster groups are near: {diag:?}");
     assert!(diag.panel_hits + diag.panel_misses > 0);
 }
+
+#[test]
+fn fixed_panels_above_the_far_table_cap_cover_only_walk_near_pairs() {
+    // A 128-per-side leaf grid has no leaf far table, so leaf-level
+    // qualification alone would count every occupied pair as near and
+    // spend the budget on the cross-cluster pairs the walk charges as
+    // far at level 1 (64 per side). The fixed fill must use the walk's
+    // own predicate: no far-qualified ancestor at any level.
+    let net = cluster_instance(10_000.0);
+    let tiled = TiledSinrFeasibility::with_options(
+        net.clone(),
+        UniformPower::unit(),
+        TileOptions::new(128, 1e-2).with_levels(2),
+    );
+    let tiles = tiled.tiles();
+    assert!(tiles.levels[0].far.is_empty(), "leaf grid above the cap");
+    assert!(
+        tiles.far_pairs_at(1) > 0,
+        "clusters must qualify at level 1"
+    );
+    let panels::PanelStore::Fixed { offsets, .. } = &tiles.panels else {
+        unreachable!("default options build a fixed store")
+    };
+    let g0 = tiles.grid().tiles_per_side();
+    for &(s, r) in offsets.keys() {
+        for (l, level) in tiles.levels.iter().enumerate() {
+            assert!(
+                !level.is_far(level.tile_of_leaf(s, g0), level.tile_of_leaf(r, g0)),
+                "panel ({s}, {r}) is far at level {l}"
+            );
+        }
+    }
+    // One panel per cluster: the two own-cluster pairs, no cross pair.
+    assert_eq!(offsets.len(), 2);
+    let unpanelled = TiledSinrFeasibility::with_options(
+        net,
+        UniformPower::unit(),
+        TileOptions::new(128, 1e-2)
+            .with_levels(2)
+            .with_panel_budget(0),
+    );
+    let attempts: Vec<Attempt> = (0..8).map(|i| attempt(i, i as u64)).collect();
+    assert_eq!(
+        tiled.successes(&attempts, &mut rng()),
+        unpanelled.successes(&attempts, &mut rng())
+    );
+}
+
+/// A 4×4 lattice of unit links 10 apart: on a 4-per-side grid every
+/// link's sender and receiver share a leaf tile, and no tile holds two
+/// links.
+fn one_link_per_tile_instance() -> SinrNetwork {
+    let mut b = SinrNetworkBuilder::new(SinrParams::default_noiseless());
+    for row in 0..4 {
+        for col in 0..4 {
+            let (x, y) = (2.0 + 10.0 * col as f64, 2.0 + 10.0 * row as f64);
+            b.add_isolated_link((x, y), (x, y + 1.0));
+        }
+    }
+    b.build()
+}
+
+#[test]
+fn sparse_near_terms_never_touch_the_panel_store() {
+    let net = one_link_per_tile_instance();
+    let attempts: Vec<Attempt> = (0..16).map(|i| attempt(i, i as u64)).collect();
+    for mode in [PanelCacheMode::Adaptive, PanelCacheMode::Fixed] {
+        let tiled = TiledSinrFeasibility::with_options(
+            net.clone(),
+            UniformPower::unit(),
+            TileOptions::new(4, 1e-2)
+                .with_levels(2)
+                .with_panel_mode(mode),
+        );
+        let tiles = tiled.tiles();
+        for link in 0..16 {
+            let link = LinkId(link);
+            assert_eq!(tiles.sender_tile_of(link), tiles.receiver_tile_of(link));
+        }
+        assert!(tiles.far_pairs() > 0, "the walk must run");
+        let resident_before = tiles.panel_bytes();
+        for _ in 0..3 {
+            let _ = tiled.successes(&attempts, &mut rng());
+        }
+        let diag = tiles.diagnostics();
+        assert!(diag.near_terms > 0, "{mode:?}: {diag:?}");
+        assert_eq!(tiles.near_on_the_fly(), diag.near_terms, "{mode:?}");
+        assert_eq!(diag.panel_hits, 0, "{mode:?}: {diag:?}");
+        assert_eq!(diag.panel_misses, 0, "{mode:?}: {diag:?}");
+        assert_eq!(diag.panel_evictions, 0, "{mode:?}: {diag:?}");
+        assert_eq!(tiles.panel_bytes(), resident_before, "{mode:?}");
+        if mode == PanelCacheMode::Adaptive {
+            assert_eq!(diag.panel_resident_bytes, 0);
+            assert_eq!(diag.panel_high_water_bytes, 0);
+            assert_eq!(tiles.panel_count(), 0);
+        }
+    }
+}
+
+#[test]
+fn near_receiver_descent_matches_the_per_pair_walk_predicate() {
+    let mut rng_geo = ChaCha12Rng::seed_from_u64(19);
+    let params = SinrParams::with_noise(1e-4);
+    let net = random_instance(96, 600.0, 0.8, 3.0, params, &mut rng_geo);
+    let cache = Arc::new(SinrCache::with_dense_limit(&net, &UniformPower::unit(), 0));
+    let tiles = TiledSinrCache::with_options(cache, TileOptions::new(16, 1e-2).with_levels(3));
+    assert!(
+        (0..tiles.num_levels()).all(|l| tiles.far_pairs_at(l) > 0),
+        "every level must far-qualify some pair"
+    );
+    let g0 = tiles.grid().tiles_per_side();
+    let occupied = |start: &[u32]| -> Vec<u32> {
+        (0..g0 * g0)
+            .filter(|&i| start[i] != start[i + 1])
+            .map(|i| i as u32)
+            .collect()
+    };
+    let (occ_s, occ_r) = (
+        occupied(&tiles.senders_start),
+        occupied(&tiles.receivers_start),
+    );
+    let (mut near, mut stack) = (Vec::new(), Vec::new());
+    let mut pruned = 0;
+    for &s in &occ_s {
+        hierarchy::walk_near_receivers(&tiles.levels, s, g0, &mut near, &mut stack);
+        let expect: Vec<u32> = occ_r
+            .iter()
+            .copied()
+            .filter(|&r| {
+                tiles.levels.iter().all(|level| {
+                    !level.is_far(level.tile_of_leaf(s, g0), level.tile_of_leaf(r, g0))
+                })
+            })
+            .collect();
+        pruned += occ_r.len() - expect.len();
+        assert_eq!(near, expect, "sender tile {s}");
+    }
+    assert!(pruned > 0, "some receiver tiles must be far");
+}

@@ -20,13 +20,15 @@ use dps_core::feasibility::{Attempt, Feasibility};
 use dps_core::ids::{LinkId, PacketId};
 use dps_sinr::feasibility::SinrFeasibility;
 use dps_sinr::instances::{line_instance, random_instance};
-use dps_sinr::network::SinrNetwork;
+use dps_sinr::network::{SinrNetwork, SinrNetworkBuilder};
 use dps_sinr::params::SinrParams;
 use dps_sinr::power::{LinearPower, PowerAssignment, UniformPower};
-use dps_sinr::tiles::{PanelCacheMode, TileOptions, TiledSinrFeasibility};
+use dps_sinr::tiles::{
+    PanelCacheMode, TileOptions, TiledSinrFeasibility, DEFAULT_PANEL_BUDGET_BYTES,
+};
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
 fn attempt(link: u32, id: u64) -> Attempt {
@@ -71,8 +73,21 @@ fn referee_at<P: PowerAssignment + Clone>(
     levels: usize,
     threads: usize,
 ) -> Result<(), TestCaseError> {
-    let exact = SinrFeasibility::new(net.clone(), power.clone());
     let options = TileOptions::new(grid, eps).with_levels(levels);
+    referee_with(net, power, attempts, options, threads)
+}
+
+/// The referee for one cell under full [`TileOptions`] — panel mode and
+/// budget included.
+fn referee_with<P: PowerAssignment + Clone>(
+    net: &SinrNetwork,
+    power: P,
+    attempts: &[Attempt],
+    options: TileOptions,
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    let eps = options.epsilon;
+    let exact = SinrFeasibility::new(net.clone(), power.clone());
     let tiled =
         TiledSinrFeasibility::with_options(net.clone(), power, options).kernel_threads(threads);
     let mut srng = ChaCha12Rng::seed_from_u64(7);
@@ -198,8 +213,163 @@ fn referee<P: PowerAssignment + Clone>(
     referee_at(net, power, attempts, grid, eps, 1, 1)
 }
 
+/// Clustered geometry around the panel work gate: an `n × n` lattice of
+/// clusters 10 apart, four short links per cluster with both endpoints
+/// inside the cluster's leaf tile of an `n`-per-side grid. Links are
+/// numbered cluster by cluster, so link `4·c + i` is cluster `c`'s
+/// `i`-th link.
+fn clustered_instance(n: usize, seed: u64) -> SinrNetwork {
+    let mut rng = ChaCha12Rng::seed_from_u64(seed);
+    let mut b = SinrNetworkBuilder::new(SinrParams::with_noise(1e-4));
+    for row in 0..n {
+        for col in 0..n {
+            let (cx, cy) = (10.0 * col as f64 + 5.0, 10.0 * row as f64 + 5.0);
+            for _ in 0..4 {
+                let sender = (cx + rng.gen_range(-2.0..2.0), cy + rng.gen_range(-2.0..2.0));
+                let receiver = (
+                    sender.0 + rng.gen_range(-1.0..1.0),
+                    sender.1 + rng.gen_range(-1.0..1.0),
+                );
+                b.add_isolated_link(sender, receiver);
+            }
+        }
+    }
+    b.build()
+}
+
+/// Attempts with `activity[c]` (in `1..=4`) links of cluster `c` active:
+/// per-tile activity spans 1×1 to 4×4 active senders × receivers.
+fn cluster_attempts(activity: &[usize]) -> Vec<Attempt> {
+    activity
+        .iter()
+        .enumerate()
+        .flat_map(|(c, &k)| (0..k as u32).map(move |i| 4 * c as u32 + i))
+        .map(|l| attempt(l, l as u64))
+        .collect()
+}
+
+/// One slot's verdicts and per-receiver interference sums.
+type SlotBits = (Vec<bool>, Vec<(LinkId, f64)>);
+
+/// Runs one clustered slot through every (mode, budget, threads) cell
+/// across the panel work gate: each cell is refereed against
+/// `successes_naive`, and verdicts and per-receiver sums must be the
+/// same bits in every cell. Returns the default-budget adaptive
+/// oracle's (near terms served on the fly, panel hits + misses).
+fn gate_cells(
+    net: &SinrNetwork,
+    attempts: &[Attempt],
+    grid: usize,
+    eps: f64,
+    levels: usize,
+) -> Result<(u64, u64), TestCaseError> {
+    let one_panel = 16 * std::mem::size_of::<f64>();
+    let mut reference: Option<SlotBits> = None;
+    let mut gate_counts = (0, 0);
+    for mode in [PanelCacheMode::Fixed, PanelCacheMode::Adaptive] {
+        for budget in [0, one_panel, DEFAULT_PANEL_BUDGET_BYTES] {
+            for threads in [1usize, 2] {
+                let options = TileOptions::new(grid, eps)
+                    .with_levels(levels)
+                    .with_panel_mode(mode)
+                    .with_panel_budget(budget);
+                referee_with(net, UniformPower::unit(), attempts, options, threads)?;
+                let tiled =
+                    TiledSinrFeasibility::with_options(net.clone(), UniformPower::unit(), options)
+                        .kernel_threads(threads);
+                let srng = ChaCha12Rng::seed_from_u64(5);
+                let verdicts = tiled.successes(attempts, &mut srng.clone());
+                let sums = tiled.slot_interference(attempts);
+                match &reference {
+                    None => reference = Some((verdicts, sums)),
+                    Some((ref_verdicts, ref_sums)) => {
+                        prop_assert_eq!(
+                            &verdicts,
+                            ref_verdicts,
+                            "{:?} budget {} threads {}",
+                            mode,
+                            budget,
+                            threads
+                        );
+                        for (&(link_a, sum_a), &(link_b, sum_b)) in ref_sums.iter().zip(&sums) {
+                            prop_assert_eq!(link_a, link_b);
+                            prop_assert_eq!(
+                                sum_a.to_bits(),
+                                sum_b.to_bits(),
+                                "{:?} budget {} threads {} at {}",
+                                mode,
+                                budget,
+                                threads,
+                                link_a
+                            );
+                        }
+                    }
+                }
+                if mode == PanelCacheMode::Adaptive
+                    && budget == DEFAULT_PANEL_BUDGET_BYTES
+                    && threads == 1
+                {
+                    let diag = tiled.tiles().diagnostics();
+                    gate_counts = (
+                        tiled.tiles().near_on_the_fly(),
+                        diag.panel_hits + diag.panel_misses,
+                    );
+                }
+            }
+        }
+    }
+    Ok(gate_counts)
+}
+
+/// A fixed clustered slot whose activity straddles the gate: four
+/// active links in one cluster (a 4×4 own-tile term) next to
+/// single active links (1×1 terms), so both sides of the gate run.
+#[test]
+fn panel_gate_straddling_slot_runs_both_paths() {
+    let n = 3;
+    let net = clustered_instance(n, 41);
+    let activity = [4, 1, 2, 1, 4, 1, 3, 1, 1];
+    let attempts = cluster_attempts(&activity);
+    for levels in [1usize, 2] {
+        let (on_the_fly, panel_lookups) = gate_cells(&net, &attempts, n, 1e-2, levels)
+            .unwrap_or_else(|e| panic!("levels {levels}: {e}"));
+        assert!(
+            on_the_fly > 0,
+            "levels {levels}: sparse terms must skip the store"
+        );
+        assert!(
+            panel_lookups > 0,
+            "levels {levels}: dense terms must resolve panels"
+        );
+    }
+    let far =
+        TiledSinrFeasibility::with_options(net, UniformPower::unit(), TileOptions::new(n, 1e-2));
+    assert!(far.tiles().far_pairs() > 0, "the walk must run");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Clustered slots whose per-tile activity ranges from 1×1 to 4×4
+    /// active senders × receivers, so the panel work gate falls inside
+    /// the range: fixed and adaptive stores, budgets {0, one panel,
+    /// default} and threads {1, 2} all give the same bits, within the
+    /// ε·margin contract of `successes_naive`.
+    #[test]
+    fn panel_gate_is_bitwise_neutral_across_budgets(
+        seed in 0u64..200,
+        n in 2usize..5,
+        activity_bits in 0u32..u32::MAX,
+        eps_sel in 1usize..3,
+        levels in 1usize..3,
+    ) {
+        let net = clustered_instance(n, seed);
+        let activity: Vec<usize> = (0..n * n)
+            .map(|c| 1 + ((activity_bits >> (2 * c)) & 3) as usize)
+            .collect();
+        let attempts = cluster_attempts(&activity);
+        gate_cells(&net, &attempts, n, EPSILONS[eps_sel], levels)?;
+    }
 
     /// Random geometry across the epsilon lattice, subsets with
     /// duplicate attempts mixed in, uniform and linear powers, with and
